@@ -10,11 +10,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/config_io.hpp"
+#include "core/knobs.hpp"
 #include "core/pack.hpp"
 #include "core/scenario.hpp"
 #include "core/world_scenario.hpp"
@@ -25,78 +27,52 @@ namespace {
 
 using precinct::core::PrecinctConfig;
 
+/// Composite config keys that also have a flag (`--area` sets `area`);
+/// the scalar knobs' flags come from core::knobs().
+constexpr const char* kCompositeFlagKeys[] = {"area", "regions", "mobility",
+                                              "consistency", "retrieval"};
+
 void print_help() {
-  std::cout <<
-      R"(precinct_sim — PReCinCt MP2P cooperative caching simulator
+  const auto defaults = precinct::core::config_to_kv(PrecinctConfig{});
+  const auto def = [&](const char* key) {
+    return "(default " + defaults.at(key) + ")";
+  };
+  std::cout << R"(precinct_sim — PReCinCt MP2P cooperative caching simulator
 
-topology
-  --nodes N            peers in the network               (default 80)
-  --area METERS        square side length                 (default 1200)
-  --regions K          KxK region grid                    (default 3)
-  --range METERS       radio range                        (default 250)
+usage: precinct_sim [--config FILE | --pack NAME] [knob flags] [tool flags]
 
-mobility
-  --mobility MODEL     random-waypoint | random-direction |
-                       gauss-markov | manhattan | commuter |
-                       static                             (default random-waypoint)
-  --speed-max M_S      maximum node speed                 (default 6)
-  --pause S            pause between movement legs        (default 5)
-                       (manhattan street_spacing/turn_prob and commuter
-                       commuter_period/commuter_hubs are config-file keys)
+Every knob is a config key with a flag: --a-b VALUE sets key a_b, and a
+bool knob's bare flag means true.  Flags override the config file or pack;
+a knob whose flag is not given keeps its loaded value.
 
-heterogeneous fleets (config-file only)
-  class.<name>.count   nodes in the class (counts sum to the fleet size)
-  class.<name>.cache_kb  per-peer cache KiB (0 = cache_fraction sizing)
-  class.<name>.speed   class speed cap (0 = scenario v_min/v_max)
-  class.<name>.fixed   true = static roadside unit (custody anchor)
+composite knobs
+  --area METERS                   square side length )" << def("area") << R"(
+  --regions K                     KxK region grid )" << def("regions") << R"(
+  --mobility MODEL                random-waypoint | random-direction |
+                                  gauss-markov | manhattan | commuter | static
+                                  )" << def("mobility") << R"(
+  --consistency MODE              none | plain-push | pull-every-time |
+                                  push-adaptive-pull )" << def("consistency") << R"(
+  --retrieval NAME                precinct | flooding | expanding-ring
+                                  )" << def("retrieval") << R"(
 
-workload
-  --items N            data items in the catalog          (default 1000)
-  --request-interval S mean seconds between requests      (default 30)
-  --zipf THETA         popularity skew                    (default 0.8)
-                       (flash-crowd keys rate_multiplier, zipf_drift,
-                       zipf_drift_step, hotspot_interval, hotspot_shift
-                       are config-file keys)
+config-file-only keys (see examples/scenario.conf.example)
+  tiles = K                       KxK grid of independent tile worlds coupled
+                                  only by gateway traffic )" << def("tiles") << R"(
+  blackout = N:START:END;...      scripted channel: radio-silence windows
+  class.<name>.count              heterogeneous fleet: nodes in the class
+  class.<name>.cache_kb           per-peer cache KiB (0 = cache sizing)
+  class.<name>.speed              class speed cap (0 = speed_min/speed_max)
+  class.<name>.fixed              true = static roadside unit
 
-caching
-  --policy NAME        gd-ld | gd-size | lru | lfu        (default gd-ld)
-  --cache FRACTION     dynamic cache as fraction of DB    (default 0.02)
-
-consistency
-  --consistency MODE   none | plain-push | pull-every-time |
-                       push-adaptive-pull                 (default none)
-  --updates            enable the update workload
-  --update-interval S  mean seconds between updates       (default 30)
-  --ttr-alpha A        TTR EWMA weight (Eq. 2)            (default 0.5)
-
-retrieval & fault tolerance
-  --retrieval NAME     precinct | flooding | expanding-ring (default precinct)
-  --replicas K         replica regions per key            (default 1)
-  --retries N          remote-lookup retransmissions (exponential
-                       backoff) before replica fallback   (default 0)
-  --crash-rate R       node crashes per second            (default 0)
-  --dynamic-regions    enable runtime region rebalancing
-
-channel (fault injection)
-  --channel NAME       perfect | bernoulli | distance |
-                       gilbert-elliott | scripted         (default perfect)
-  --loss P             bernoulli per-frame loss probability (default 0)
-                       (the remaining channel knobs — edge_start, edge_loss,
-                       ge_enter_burst, ge_burst_frames, ge_loss_good,
-                       ge_loss_bad, blackout — are config-file keys; see
-                       examples/scenario.conf.example)
-
-correctness harness
-  --check CATS         runtime invariant auditing: all, or a comma list of
-                       net,cache,custody,pending,consistency,energy
-                       (observe-only; aborts on the first violation)
-  --check-stride N     audit every N executed events    (default 64)
-
-scenario packs
-  --pack NAME          load examples/packs/NAME.conf as the scenario
-                       (flags still override); an unknown NAME lists the
-                       installed packs
+knobs
+)" << precinct::core::knob_help() << R"(
+tools
+  --config FILE        key=value scenario file
+  --pack NAME          load examples/packs/NAME.conf as the scenario; an
+                       unknown NAME lists the installed packs
   --packs              list installed packs and exit
+  --seeds N            replications, merged (default 1)
   --fingerprint        print the run's metrics fingerprint (world
                        fingerprint in world-sharded mode) instead of the
                        table
@@ -108,23 +84,6 @@ scenario packs
   --world K            force world-sharded execution with K workers, even
                        K = 1 (the pack K-invariance gate diffs
                        --world 1/2/4 fingerprints)
-
-run control
-  --config FILE        key=value scenario file (flags override it; see
-                       examples/scenario.conf.example)
-  --shards K           parallel workers; with the default 1x1 tile grid,
-                       K > 1 world-shards the run (one world cut into
-                       region-column domains with real radio traffic
-                       across the cut; results are byte-identical for
-                       any K)                             (default 1)
-                       a `tiles = K` config key selects the other sharded
-                       mode instead: a KxK grid of independent tile worlds
-                       coupled only by gateway traffic (gateway_latency,
-                       gateway_interval config keys)
-  --warmup S           warm-up before measuring           (default 150)
-  --measure S          measurement window                 (default 900)
-  --seed N             base RNG seed                      (default 1)
-  --seeds N            replications (merged)              (default 1)
   --csv                one CSV row (with header) instead of the table
   --json               one JSON object instead of the table
   --trace N|CATS       after the run, print the last N trace events, or —
@@ -132,15 +91,6 @@ run control
                        protocol, cache, consistency, custody, region,
                        channel) — every retained event in those categories
   --help               this text
-
-config-file-only keys (no flag; see examples/scenario.conf.example)
-  workload_script      deterministic `<t> request|update <node> <rank>`
-                       events layered on the Poisson generators — the same
-                       file drives in-sim runs and UDP fleets identically
-  transport_*          real-transport fleet knobs (base_port, pace,
-                       speedup, status_interval, retry, timeout, linger)
-                       read by precinct_node / precinct_ctl; the sim
-                       ignores them, so one file can describe both runs
 )";
 }
 
@@ -158,24 +108,24 @@ class ArgParser {
     return false;
   }
 
-  [[nodiscard]] std::string value(const std::string& name,
-                                  const std::string& fallback) {
+  /// Remove `name VALUE` and return VALUE, or nullopt when absent.
+  [[nodiscard]] std::optional<std::string> take(const std::string& name) {
     for (auto it = args_.begin(); it != args_.end(); ++it) {
       if (*it == name) {
         if (std::next(it) == args_.end()) {
           throw std::invalid_argument(name + " needs a value");
         }
-        const std::string v = *std::next(it);
+        std::string v = *std::next(it);
         args_.erase(it, std::next(it, 2));
         return v;
       }
     }
-    return fallback;
+    return std::nullopt;
   }
 
   [[nodiscard]] double number(const std::string& name, double fallback) {
-    const std::string v = value(name, "");
-    return v.empty() ? fallback : std::stod(v);
+    const std::optional<std::string> v = take(name);
+    return v.has_value() ? std::stod(*v) : fallback;
   }
 
   [[nodiscard]] const std::vector<std::string>& leftover() const {
@@ -186,13 +136,20 @@ class ArgParser {
   std::vector<std::string> args_;
 };
 
-precinct::core::RetrievalKind retrieval_from(const std::string& name) {
-  if (name == "precinct") return precinct::core::RetrievalKind::kPrecinct;
-  if (name == "flooding") return precinct::core::RetrievalKind::kFlooding;
-  if (name == "expanding-ring") {
-    return precinct::core::RetrievalKind::kExpandingRing;
+/// The knob flags actually given, as config keys (`--a-b` -> `a_b`).
+precinct::support::KvFile knob_flags(ArgParser& args) {
+  precinct::support::KvFile kv;
+  for (const precinct::core::Knob& knob : precinct::core::knobs()) {
+    if (knob.is_bool()) {
+      if (args.flag(knob.flag())) kv.set(std::string(knob.key), "true");
+    } else if (auto v = args.take(knob.flag())) {
+      kv.set(std::string(knob.key), std::move(*v));
+    }
   }
-  throw std::invalid_argument("unknown retrieval scheme: " + name);
+  for (const char* key : kCompositeFlagKeys) {
+    if (auto v = args.take(std::string("--") + key)) kv.set(key, std::move(*v));
+  }
+  return kv;
 }
 
 std::string read_file(const std::string& path) {
@@ -251,55 +208,15 @@ int main(int argc, char** argv) {
     }
 
     PrecinctConfig c;
-    std::string pack_name = args.value("--pack", "");
+    const std::string pack_name = args.take("--pack").value_or("");
     core::ScenarioPack pack;
     if (!pack_name.empty()) {
       pack = core::load_pack(pack_name);
       c = pack.config;
-    } else if (const std::string path = args.value("--config", "");
-               !path.empty()) {
-      c = core::config_from_file(path);
+    } else if (const auto path = args.take("--config")) {
+      c = core::config_from_file(*path);
     }
-    c.n_nodes = static_cast<std::size_t>(
-        args.number("--nodes", static_cast<double>(c.n_nodes)));
-    const double side = args.number("--area", c.area.width());
-    c.area = {{0.0, 0.0}, {side, side}};
-    const auto k = static_cast<std::uint32_t>(args.number("--regions", c.regions_x));
-    c.regions_x = c.regions_y = k;
-    c.wireless.range_m = args.number("--range", c.wireless.range_m);
-    c.mobility_model = args.value("--mobility", c.mobility_model);
-    c.mobile = c.mobility_model != "static";
-    c.v_max = args.number("--speed-max", c.v_max);
-    c.pause_s = args.number("--pause", c.pause_s);
-    c.catalog.n_items =
-        static_cast<std::size_t>(args.number("--items", static_cast<double>(c.catalog.n_items)));
-    c.mean_request_interval_s = args.number("--request-interval", c.mean_request_interval_s);
-    c.zipf_theta = args.number("--zipf", c.zipf_theta);
-    c.cache_policy = args.value("--policy", c.cache_policy);
-    c.cache_fraction = args.number("--cache", c.cache_fraction);
-    c.consistency =
-        consistency::mode_from_string(args.value("--consistency", to_string(c.consistency)));
-    c.updates_enabled = args.flag("--updates") || c.updates_enabled ||
-                        c.consistency != consistency::Mode::kNone;
-    c.mean_update_interval_s = args.number("--update-interval", c.mean_update_interval_s);
-    c.ttr_alpha = args.number("--ttr-alpha", c.ttr_alpha);
-    c.retrieval = retrieval_from(args.value("--retrieval", to_string(c.retrieval)));
-    c.replica_count = static_cast<std::size_t>(args.number("--replicas", static_cast<double>(c.replica_count)));
-    c.request_retries = static_cast<int>(
-        args.number("--retries", static_cast<double>(c.request_retries)));
-    c.wireless.channel.model =
-        args.value("--channel", c.wireless.channel.model);
-    c.wireless.channel.loss_p = args.number("--loss", c.wireless.channel.loss_p);
-    c.crash_rate_per_s = args.number("--crash-rate", c.crash_rate_per_s);
-    c.check = args.value("--check", c.check);
-    c.check_stride = static_cast<std::uint64_t>(args.number(
-        "--check-stride", static_cast<double>(c.check_stride)));
-    c.dynamic_regions = args.flag("--dynamic-regions") || c.dynamic_regions;
-    c.shards = static_cast<std::uint32_t>(
-        args.number("--shards", static_cast<double>(c.shards)));
-    c.warmup_s = args.number("--warmup", c.warmup_s);
-    c.measure_s = args.number("--measure", c.measure_s);
-    c.seed = static_cast<std::uint64_t>(args.number("--seed", static_cast<double>(c.seed)));
+    c = core::config_from_kv(knob_flags(args), c);
     const auto seeds = static_cast<std::size_t>(args.number("--seeds", 1));
     const bool csv = args.flag("--csv");
     const bool json = args.flag("--json");
@@ -312,7 +229,7 @@ int main(int argc, char** argv) {
     // --trace takes either a count ("--trace 50": last 50 events, all
     // categories) or a category list ("--trace channel,protocol": every
     // retained event in just those categories).
-    const std::string trace_arg = args.value("--trace", "");
+    const std::string trace_arg = args.take("--trace").value_or("");
     std::size_t trace_n = 0;
     std::vector<sim::TraceCategory> trace_cats;
     if (!trace_arg.empty()) {

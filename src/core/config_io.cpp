@@ -1,10 +1,10 @@
 #include "core/config_io.hpp"
 
-#include <charconv>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <stdexcept>
+
+#include "core/knobs.hpp"
 
 namespace precinct::core {
 
@@ -37,20 +37,6 @@ std::vector<channel::Blackout> parse_blackouts(const std::string& spec) {
       throw std::invalid_argument("config: blackout window '" + window +
                                   "' has a non-numeric field");
     }
-  }
-  return out;
-}
-
-/// Exact 64-bit parse: seeds use the full uint64_t range, which a round
-/// trip through double would truncate past 2^53.
-std::uint64_t parse_u64(const std::string& value, const char* key) {
-  std::uint64_t out = 0;
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (ec != std::errc{} || ptr != end) {
-    throw std::invalid_argument("config: key '" + std::string(key) +
-                                "' is not an unsigned integer: '" + value +
-                                "'");
   }
   return out;
 }
@@ -109,7 +95,7 @@ void apply_class_key(PrecinctConfig& c, const std::string& key,
     cls = &c.node_classes.back();
   }
   if (attr == "count") {
-    cls->count = static_cast<std::size_t>(parse_u64(value, key.c_str()));
+    cls->count = parse_integer<std::size_t>(value, key);
   } else if (attr == "cache_kb") {
     cls->cache_kb = kv.get_number(key, 0.0);
   } else if (attr == "speed") {
@@ -121,6 +107,32 @@ void apply_class_key(PrecinctConfig& c, const std::string& key,
         "config: class key '" + key +
         "' must be class.<name>.<count|cache_kb|speed|fixed>");
   }
+}
+
+/// Composite keys: each sets more than one field, or more than a plain
+/// copy of its value.  Returns false when `key` is not one of them.
+bool apply_composite(PrecinctConfig& c, const std::string& key,
+                     const std::string& value, const support::KvFile& kv) {
+  if (key == "area") {
+    const double side = kv.get_number(key, c.area.width());
+    c.area = {{0.0, 0.0}, {side, side}};
+  } else if (key == "regions") {
+    c.regions_x = c.regions_y = parse_integer<std::uint32_t>(value, key);
+  } else if (key == "tiles") {
+    c.tiles_x = c.tiles_y = parse_integer<std::uint32_t>(value, key);
+  } else if (key == "mobility") {
+    c.mobility_model = value;
+    c.mobile = value != "static";
+  } else if (key == "consistency") {
+    set_consistency(c, value);
+  } else if (key == "retrieval") {
+    set_retrieval(c, value);
+  } else if (key == "blackout") {
+    c.wireless.channel.blackouts = parse_blackouts(value);
+  } else {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -151,262 +163,7 @@ PrecinctConfig::~PrecinctConfig() = default;
 PrecinctConfig config_from_kv(const support::KvFile& kv,
                               const PrecinctConfig& base) {
   PrecinctConfig c = base;
-  // One handler per key; the map doubles as the list of valid keys.
-  const std::map<std::string, std::function<void(const std::string&)>>
-      handlers{
-          {"nodes",
-           [&](const std::string&) {
-             c.n_nodes = static_cast<std::size_t>(kv.get_number("nodes", 0));
-           }},
-          {"area",
-           [&](const std::string&) {
-             const double side = kv.get_number("area", 1200.0);
-             c.area = {{0.0, 0.0}, {side, side}};
-           }},
-          {"regions",
-           [&](const std::string&) {
-             c.regions_x = c.regions_y =
-                 static_cast<std::uint32_t>(kv.get_number("regions", 3));
-           }},
-          {"range",
-           [&](const std::string&) {
-             c.wireless.range_m = kv.get_number("range", 250.0);
-           }},
-          {"mobility",
-           [&](const std::string& v) {
-             c.mobility_model = v;
-             c.mobile = v != "static";
-           }},
-          {"speed_max",
-           [&](const std::string&) {
-             c.v_max = kv.get_number("speed_max", 6.0);
-           }},
-          {"speed_min",
-           [&](const std::string&) {
-             c.v_min = kv.get_number("speed_min", 0.5);
-           }},
-          {"pause",
-           [&](const std::string&) {
-             c.pause_s = kv.get_number("pause", 5.0);
-           }},
-          {"street_spacing",
-           [&](const std::string&) {
-             c.street_spacing_m = kv.get_number("street_spacing", 100.0);
-           }},
-          {"turn_prob",
-           [&](const std::string&) {
-             c.turn_probability = kv.get_number("turn_prob", 0.25);
-           }},
-          {"commuter_period",
-           [&](const std::string&) {
-             c.commuter_period_s = kv.get_number("commuter_period", 400.0);
-           }},
-          {"commuter_hubs",
-           [&](const std::string&) {
-             c.commuter_hubs =
-                 static_cast<std::size_t>(kv.get_number("commuter_hubs", 3));
-           }},
-          {"items",
-           [&](const std::string&) {
-             c.catalog.n_items =
-                 static_cast<std::size_t>(kv.get_number("items", 1000));
-           }},
-          {"request_interval",
-           [&](const std::string&) {
-             c.mean_request_interval_s =
-                 kv.get_number("request_interval", 30.0);
-           }},
-          {"update_interval",
-           [&](const std::string&) {
-             c.mean_update_interval_s = kv.get_number("update_interval", 30.0);
-           }},
-          {"updates",
-           [&](const std::string&) {
-             c.updates_enabled = kv.get_bool("updates", false);
-           }},
-          {"zipf",
-           [&](const std::string&) {
-             c.zipf_theta = kv.get_number("zipf", 0.8);
-           }},
-          {"rate_multiplier",
-           [&](const std::string&) {
-             c.request_rate_multiplier =
-                 kv.get_number("rate_multiplier", 1.0);
-           }},
-          {"zipf_drift",
-           [&](const std::string&) {
-             c.zipf_drift_per_s = kv.get_number("zipf_drift", 0.0);
-           }},
-          {"zipf_drift_step",
-           [&](const std::string&) {
-             c.zipf_drift_step_s = kv.get_number("zipf_drift_step", 10.0);
-           }},
-          {"policy", [&](const std::string& v) { c.cache_policy = v; }},
-          {"cache",
-           [&](const std::string&) {
-             c.cache_fraction = kv.get_number("cache", 0.02);
-           }},
-          {"consistency",
-           [&](const std::string& v) { set_consistency(c, v); }},
-          {"ttr_alpha",
-           [&](const std::string&) {
-             c.ttr_alpha = kv.get_number("ttr_alpha", 0.5);
-           }},
-          {"retrieval",
-           [&](const std::string& v) { set_retrieval(c, v); }},
-          {"replicas",
-           [&](const std::string&) {
-             c.replica_count =
-                 static_cast<std::size_t>(kv.get_number("replicas", 1));
-           }},
-          {"retries",
-           [&](const std::string&) {
-             c.request_retries =
-                 static_cast<int>(kv.get_number("retries", 0));
-           }},
-          {"channel",
-           [&](const std::string& v) { c.wireless.channel.model = v; }},
-          {"blackout",
-           [&](const std::string& v) {
-             c.wireless.channel.blackouts = parse_blackouts(v);
-           }},
-          {"loss",
-           [&](const std::string&) {
-             c.wireless.channel.loss_p = kv.get_number("loss", 0.0);
-           }},
-          {"edge_start",
-           [&](const std::string&) {
-             c.wireless.channel.edge_start_fraction =
-                 kv.get_number("edge_start", 0.7);
-           }},
-          {"edge_loss",
-           [&](const std::string&) {
-             c.wireless.channel.edge_loss_p = kv.get_number("edge_loss", 0.8);
-           }},
-          {"ge_enter_burst",
-           [&](const std::string&) {
-             c.wireless.channel.ge_enter_burst_p =
-                 kv.get_number("ge_enter_burst", 0.02);
-           }},
-          {"ge_burst_frames",
-           [&](const std::string&) {
-             c.wireless.channel.ge_mean_burst_frames =
-                 kv.get_number("ge_burst_frames", 5.0);
-           }},
-          {"ge_loss_good",
-           [&](const std::string&) {
-             c.wireless.channel.ge_loss_good =
-                 kv.get_number("ge_loss_good", 0.0);
-           }},
-          {"ge_loss_bad",
-           [&](const std::string&) {
-             c.wireless.channel.ge_loss_bad =
-                 kv.get_number("ge_loss_bad", 1.0);
-           }},
-          {"crash_rate",
-           [&](const std::string&) {
-             c.crash_rate_per_s = kv.get_number("crash_rate", 0.0);
-           }},
-          {"join_rate",
-           [&](const std::string&) {
-             c.join_rate_per_s = kv.get_number("join_rate", 0.0);
-           }},
-          {"graceful_fraction",
-           [&](const std::string&) {
-             c.graceful_fraction = kv.get_number("graceful_fraction", 1.0);
-           }},
-          {"dynamic_regions",
-           [&](const std::string&) {
-             c.dynamic_regions = kv.get_bool("dynamic_regions", false);
-           }},
-          {"use_beacons",
-           [&](const std::string&) {
-             c.use_beacons = kv.get_bool("use_beacons", false);
-           }},
-          {"beacon_interval",
-           [&](const std::string&) {
-             c.beacon_interval_s = kv.get_number("beacon_interval", 1.0);
-           }},
-          {"neighbor_lifetime",
-           [&](const std::string&) {
-             c.neighbor_lifetime_s = kv.get_number("neighbor_lifetime", 3.0);
-           }},
-          {"hotspot_interval",
-           [&](const std::string&) {
-             c.hotspot_rotation_interval_s =
-                 kv.get_number("hotspot_interval", 0.0);
-           }},
-          {"hotspot_shift",
-           [&](const std::string&) {
-             c.hotspot_shift =
-                 static_cast<std::size_t>(kv.get_number("hotspot_shift", 100));
-           }},
-          {"warmup",
-           [&](const std::string&) {
-             c.warmup_s = kv.get_number("warmup", 150.0);
-           }},
-          {"measure",
-           [&](const std::string&) {
-             c.measure_s = kv.get_number("measure", 900.0);
-           }},
-          {"shards",
-           [&](const std::string&) {
-             c.shards =
-                 static_cast<std::uint32_t>(kv.get_number("shards", 1.0));
-           }},
-          {"tiles",
-           [&](const std::string&) {
-             c.tiles_x = c.tiles_y =
-                 static_cast<std::uint32_t>(kv.get_number("tiles", 1.0));
-           }},
-          {"gateway_latency",
-           [&](const std::string&) {
-             c.gateway_latency_s = kv.get_number("gateway_latency", 0.0);
-           }},
-          {"gateway_interval",
-           [&](const std::string&) {
-             c.gateway_interval_s = kv.get_number("gateway_interval", 0.0);
-           }},
-          {"workload_script",
-           [&](const std::string& v) { c.workload_script = v; }},
-          {"transport_base_port",
-           [&](const std::string& v) {
-             c.transport_base_port = static_cast<std::uint32_t>(
-                 parse_u64(v, "transport_base_port"));
-           }},
-          {"transport_pace",
-           [&](const std::string& v) { c.transport_pace = v; }},
-          {"transport_speedup",
-           [&](const std::string&) {
-             c.transport_speedup = kv.get_number("transport_speedup", 1.0);
-           }},
-          {"transport_status_interval",
-           [&](const std::string&) {
-             c.transport_status_interval_s =
-                 kv.get_number("transport_status_interval", 0.5);
-           }},
-          {"transport_retry",
-           [&](const std::string&) {
-             c.transport_retry_s = kv.get_number("transport_retry", 0.05);
-           }},
-          {"transport_timeout",
-           [&](const std::string&) {
-             c.transport_timeout_s = kv.get_number("transport_timeout", 30.0);
-           }},
-          {"transport_linger",
-           [&](const std::string&) {
-             c.transport_linger_s = kv.get_number("transport_linger", 5.0);
-           }},
-          {"seed",
-           [&](const std::string& v) { c.seed = parse_u64(v, "seed"); }},
-          {"check", [&](const std::string& v) { c.check = v; }},
-          {"check_stride",
-           [&](const std::string& v) {
-             c.check_stride = parse_u64(v, "check_stride");
-           }},
-      };
   bool saw_class = false;
-  bool saw_nodes = false;
   for (const auto& [key, value] : kv.values()) {
     if (key.rfind("class.", 0) == 0) {
       if (!saw_class) {
@@ -415,16 +172,13 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
         saw_class = true;
       }
       apply_class_key(c, key, value, kv);
-      continue;
-    }
-    if (key == "nodes") saw_nodes = true;
-    const auto it = handlers.find(key);
-    if (it == handlers.end()) {
+    } else if (const Knob* knob = find_knob(key)) {
+      knob->parse(c, kv);
+    } else if (!apply_composite(c, key, value, kv)) {
       throw std::invalid_argument("config: unknown key '" + key + "'");
     }
-    it->second(value);
   }
-  if (saw_class && !saw_nodes) {
+  if (saw_class && !kv.has("nodes")) {
     // Classes alone define the fleet size; an explicit `nodes` key must
     // instead agree with the class counts (validate() checks the sum).
     std::size_t total = 0;
@@ -443,14 +197,6 @@ namespace {
 
 [[noreturn]] void fail_unwritable(const std::string& what) {
   throw std::invalid_argument("config: not writable: " + what);
-}
-
-/// Shortest round-trip decimal form: re-parsing with strtod recovers the
-/// exact double, so write -> read -> write is a fixed point.
-std::string format_number(double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
 }
 
 std::string format_blackouts(const std::vector<channel::Blackout>& windows) {
@@ -479,19 +225,30 @@ std::map<std::string, std::string> config_to_kv(const PrecinctConfig& c) {
   if (!c.wireless.channel.partitions.empty()) {
     fail_unwritable("partition windows have no config key");
   }
+  if (c.tiles_x != c.tiles_y) {
+    fail_unwritable("tile grid must be square (tiles_x == tiles_y)");
+  }
   std::map<std::string, std::string> kv;
-  kv["nodes"] = std::to_string(c.n_nodes);
+  for (const Knob& knob : knobs()) {
+    // Only string knobs can render empty (no check, no workload script);
+    // those keys are left out, as reading them back changes nothing.
+    std::string value = knob.format(c);
+    if (!value.empty()) kv.emplace(knob.key, std::move(value));
+  }
   kv["area"] = format_number(c.area.width());
   kv["regions"] = std::to_string(c.regions_x);
-  kv["range"] = format_number(c.wireless.range_m);
+  kv["tiles"] = std::to_string(c.tiles_x);
   kv["mobility"] = c.mobile ? c.mobility_model : "static";
-  kv["speed_max"] = format_number(c.v_max);
-  kv["speed_min"] = format_number(c.v_min);
-  kv["pause"] = format_number(c.pause_s);
-  kv["street_spacing"] = format_number(c.street_spacing_m);
-  kv["turn_prob"] = format_number(c.turn_probability);
-  kv["commuter_period"] = format_number(c.commuter_period_s);
-  kv["commuter_hubs"] = std::to_string(c.commuter_hubs);
+  // Alphabetical replay order puts `consistency` before `updates`, so the
+  // explicit updates key wins over set_consistency's implied enable.
+  kv["consistency"] = c.consistency_scheme.empty()
+                          ? consistency::to_string(c.consistency)
+                          : c.consistency_scheme;
+  kv["retrieval"] = c.retrieval_scheme.empty() ? to_string(c.retrieval)
+                                               : c.retrieval_scheme;
+  if (!c.wireless.channel.blackouts.empty()) {
+    kv["blackout"] = format_blackouts(c.wireless.channel.blackouts);
+  }
   for (const NodeClassConfig& cls : c.node_classes) {
     const std::string prefix = "class." + cls.name + ".";
     kv[prefix + "count"] = std::to_string(cls.count);
@@ -499,68 +256,6 @@ std::map<std::string, std::string> config_to_kv(const PrecinctConfig& c) {
     kv[prefix + "speed"] = format_number(cls.speed);
     kv[prefix + "fixed"] = cls.fixed ? "true" : "false";
   }
-  kv["items"] = std::to_string(c.catalog.n_items);
-  kv["request_interval"] = format_number(c.mean_request_interval_s);
-  kv["update_interval"] = format_number(c.mean_update_interval_s);
-  // Alphabetical replay order puts `consistency` before `updates`, so the
-  // explicit flag below wins over set_consistency's implied enable.
-  kv["updates"] = c.updates_enabled ? "true" : "false";
-  kv["zipf"] = format_number(c.zipf_theta);
-  kv["rate_multiplier"] = format_number(c.request_rate_multiplier);
-  kv["zipf_drift"] = format_number(c.zipf_drift_per_s);
-  kv["zipf_drift_step"] = format_number(c.zipf_drift_step_s);
-  kv["policy"] = c.cache_policy;
-  kv["cache"] = format_number(c.cache_fraction);
-  kv["consistency"] = c.consistency_scheme.empty()
-                          ? consistency::to_string(c.consistency)
-                          : c.consistency_scheme;
-  kv["ttr_alpha"] = format_number(c.ttr_alpha);
-  kv["retrieval"] = c.retrieval_scheme.empty() ? to_string(c.retrieval)
-                                               : c.retrieval_scheme;
-  kv["replicas"] = std::to_string(c.replica_count);
-  kv["retries"] = std::to_string(c.request_retries);
-  kv["channel"] = c.wireless.channel.model;
-  kv["loss"] = format_number(c.wireless.channel.loss_p);
-  kv["edge_start"] = format_number(c.wireless.channel.edge_start_fraction);
-  kv["edge_loss"] = format_number(c.wireless.channel.edge_loss_p);
-  kv["ge_enter_burst"] = format_number(c.wireless.channel.ge_enter_burst_p);
-  kv["ge_burst_frames"] =
-      format_number(c.wireless.channel.ge_mean_burst_frames);
-  kv["ge_loss_good"] = format_number(c.wireless.channel.ge_loss_good);
-  kv["ge_loss_bad"] = format_number(c.wireless.channel.ge_loss_bad);
-  if (!c.wireless.channel.blackouts.empty()) {
-    kv["blackout"] = format_blackouts(c.wireless.channel.blackouts);
-  }
-  kv["crash_rate"] = format_number(c.crash_rate_per_s);
-  kv["join_rate"] = format_number(c.join_rate_per_s);
-  kv["graceful_fraction"] = format_number(c.graceful_fraction);
-  kv["dynamic_regions"] = c.dynamic_regions ? "true" : "false";
-  kv["use_beacons"] = c.use_beacons ? "true" : "false";
-  kv["beacon_interval"] = format_number(c.beacon_interval_s);
-  kv["neighbor_lifetime"] = format_number(c.neighbor_lifetime_s);
-  kv["hotspot_interval"] = format_number(c.hotspot_rotation_interval_s);
-  kv["hotspot_shift"] = std::to_string(c.hotspot_shift);
-  kv["warmup"] = format_number(c.warmup_s);
-  kv["measure"] = format_number(c.measure_s);
-  if (c.tiles_x != c.tiles_y) {
-    fail_unwritable("tile grid must be square (tiles_x == tiles_y)");
-  }
-  kv["shards"] = std::to_string(c.shards);
-  kv["tiles"] = std::to_string(c.tiles_x);
-  kv["gateway_latency"] = format_number(c.gateway_latency_s);
-  kv["gateway_interval"] = format_number(c.gateway_interval_s);
-  if (!c.workload_script.empty()) kv["workload_script"] = c.workload_script;
-  kv["transport_base_port"] = std::to_string(c.transport_base_port);
-  kv["transport_pace"] = c.transport_pace;
-  kv["transport_speedup"] = format_number(c.transport_speedup);
-  kv["transport_status_interval"] =
-      format_number(c.transport_status_interval_s);
-  kv["transport_retry"] = format_number(c.transport_retry_s);
-  kv["transport_timeout"] = format_number(c.transport_timeout_s);
-  kv["transport_linger"] = format_number(c.transport_linger_s);
-  kv["seed"] = std::to_string(c.seed);
-  if (!c.check.empty()) kv["check"] = c.check;
-  kv["check_stride"] = std::to_string(c.check_stride);
   return kv;
 }
 

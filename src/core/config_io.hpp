@@ -1,8 +1,10 @@
 // Configuration file loading: map a key=value KvFile onto PrecinctConfig.
 //
-// Keys mirror precinct_sim's flag names (without dashes, using
-// underscores); unknown keys are an error so typos fail loudly.  See
-// `examples/scenario.conf.example` for a complete annotated file.
+// The scalar keys are declared once in core/knobs.hpp, and precinct_sim
+// derives its flags from them (`--a-b` sets key `a_b`); the composite
+// keys are handled here.  Unknown keys are an error so typos fail
+// loudly.  See `examples/scenario.conf.example` for a complete annotated
+// file.
 #pragma once
 
 #include <map>

@@ -5,6 +5,7 @@
 #include "channel/channel_registry.hpp"
 #include "check/categories.hpp"
 #include "core/config.hpp"
+#include "core/knobs.hpp"
 #include "core/scheme_registry.hpp"
 
 namespace precinct::core {
@@ -16,12 +17,13 @@ namespace {
 }  // namespace
 
 void PrecinctConfig::validate() const {
-  if (n_nodes == 0) fail("n_nodes must be > 0");
+  // Every scalar key's range (knobs.cpp); the rules below are the
+  // composite, conditional and cross-field ones.
+  for (const Knob& knob : knobs()) knob.check(*this);
   if (area.width() <= 0.0 || area.height() <= 0.0) {
     fail("area must have positive extent");
   }
   if (regions_x == 0 || regions_y == 0) fail("region grid must be >= 1x1");
-  if (wireless.range_m <= 0.0) fail("radio range must be > 0");
   if (wireless.bandwidth_bps <= 0.0) fail("bandwidth must be > 0");
   {
     static constexpr const char* kMobilityModels[] = {
@@ -38,17 +40,11 @@ void PrecinctConfig::validate() const {
       fail("region check interval must be > 0");
     }
   }
-  if (street_spacing_m <= 0.0) fail("street spacing must be > 0");
-  if (turn_probability < 0.0 || turn_probability > 1.0) {
-    fail("turn probability must be in [0, 1]");
-  }
   if (mobile && mobility_model == "manhattan" &&
       street_spacing_m >= std::min(area.width(), area.height())) {
     fail("street spacing too wide for the area (need a 2x2 intersection "
          "grid)");
   }
-  if (commuter_period_s <= 0.0) fail("commuter period must be > 0");
-  if (commuter_hubs == 0) fail("commuter fleet needs at least one hub");
   // Heterogeneous fleet: classes are the canonical name-sorted list with
   // contiguous id ranges, so ordering and counts must be well-formed
   // before any subsystem derives per-node attributes from them.
@@ -85,26 +81,16 @@ void PrecinctConfig::validate() const {
            std::to_string(total) + " != " + std::to_string(n_nodes) + ")");
     }
   }
-  if (catalog.n_items == 0) fail("catalog needs at least one item");
   if (catalog.min_item_bytes == 0 ||
       catalog.max_item_bytes < catalog.min_item_bytes) {
     fail("bad catalog item size range");
   }
-  if (zipf_theta < 0.0) fail("zipf theta must be >= 0");
-  if (!(request_rate_multiplier > 0.0)) {
-    fail("request rate multiplier must be > 0");
-  }
   if (zipf_drift_per_s != 0.0 && zipf_drift_step_s <= 0.0) {
     fail("zipf drift step must be > 0 when drift is enabled");
   }
-  if (mean_request_interval_s <= 0.0) fail("request interval must be > 0");
   if (updates_enabled && mean_update_interval_s <= 0.0) {
     fail("update interval must be > 0");
   }
-  if (cache_fraction < 0.0 || cache_fraction > 1.0) {
-    fail("cache fraction must be in [0, 1]");
-  }
-  if (ttr_alpha < 0.0 || ttr_alpha > 1.0) fail("ttr alpha must be in [0, 1]");
   if (ttr_initial_s < 0.0) fail("initial TTR must be >= 0");
   if (push_retries < 0) fail("push retries must be >= 0");
   if (use_beacons) {
@@ -123,33 +109,13 @@ void PrecinctConfig::validate() const {
       static_cast<std::size_t>(regions_x) * regions_y) {
     fail("replica_count needs at least replica_count+1 regions");
   }
-  if (request_retries < 0) fail("request retries must be >= 0");
-  // Channel-model knobs: names resolve in the channel registry and every
-  // probability/duration is in range (same fail-fast contract as the
-  // scheme names below).
+  // Channel model: the name resolves in the channel registry (same
+  // fail-fast contract as the scheme names below) and scripted windows
+  // do not run backwards.
   {
     const channel::ChannelConfig& ch = wireless.channel;
     if (!channel::ChannelRegistry::instance().has(ch.model)) {
       fail("unknown channel model '" + ch.model + "'");
-    }
-    if (ch.loss_p < 0.0 || ch.loss_p > 1.0) {
-      fail("channel loss probability must be in [0, 1]");
-    }
-    if (ch.edge_start_fraction < 0.0 || ch.edge_start_fraction > 1.0) {
-      fail("channel edge_start_fraction must be in [0, 1]");
-    }
-    if (ch.edge_loss_p < 0.0 || ch.edge_loss_p > 1.0) {
-      fail("channel edge loss probability must be in [0, 1]");
-    }
-    if (ch.ge_enter_burst_p < 0.0 || ch.ge_enter_burst_p > 1.0) {
-      fail("channel burst-entry probability must be in [0, 1]");
-    }
-    if (ch.ge_mean_burst_frames < 0.0) {
-      fail("channel mean burst length must be >= 0");
-    }
-    if (ch.ge_loss_good < 0.0 || ch.ge_loss_good > 1.0 ||
-        ch.ge_loss_bad < 0.0 || ch.ge_loss_bad > 1.0) {
-      fail("channel per-state loss probabilities must be in [0, 1]");
     }
     for (const channel::Blackout& b : ch.blackouts) {
       if (b.end_s < b.start_s) fail("channel blackout window must not end before it starts");
@@ -169,24 +135,13 @@ void PrecinctConfig::validate() const {
   if (prefetch_count > catalog.n_items) {
     fail("prefetch_count cannot exceed the catalog size");
   }
-  if (crash_rate_per_s < 0.0) fail("crash rate must be >= 0");
-  if (join_rate_per_s < 0.0) fail("join rate must be >= 0");
-  if (graceful_fraction < 0.0 || graceful_fraction > 1.0) {
-    fail("graceful fraction must be in [0, 1]");
-  }
-  if (warmup_s < 0.0 || measure_s <= 0.0) {
-    fail("warmup must be >= 0 and measure window > 0");
-  }
   // Sharded-execution knobs (DESIGN.md §11 tiled cities, §13 world
   // sharding).  `shards` with a 1x1 tile grid selects world sharding: one
   // world cut into region-column domains with real radio traffic across
   // the cut.  Its lookahead is derived from the radio timing, so the
   // gateway knobs — which belong to the tiled-city backhaul — must be
   // quiet.
-  if (shards == 0) fail("shards must be >= 1");
   if (tiles_x == 0 || tiles_y == 0) fail("tile grid must be >= 1x1");
-  if (gateway_latency_s < 0.0) fail("gateway latency must be >= 0");
-  if (gateway_interval_s < 0.0) fail("gateway interval must be >= 0");
   const bool tiled = static_cast<std::uint64_t>(tiles_x) * tiles_y > 1;
   if (tiled && gateway_latency_s <= 0.0) {
     fail("a tiled world needs gateway latency > 0 (it is the conservative "
@@ -207,25 +162,14 @@ void PrecinctConfig::validate() const {
            "cannot be world-sharded; run shards = 1 or a tiled world");
     }
   }
-  // Real-transport knobs (DESIGN.md §14).  The daemon/ctl address plan
-  // needs the whole fleet's ports inside the unprivileged range.
-  if (transport_base_port < 1024 || transport_base_port > 65000) {
-    fail("transport_base_port must be in [1024, 65000]");
-  }
+  // Real-transport knobs (DESIGN.md §14).
   if (transport_pace != "asap" && transport_pace != "realtime") {
     fail("transport_pace must be 'asap' or 'realtime'");
   }
-  if (!(transport_speedup > 0.0)) fail("transport_speedup must be > 0");
-  if (transport_status_interval_s < 0.0) {
-    fail("transport_status_interval must be >= 0");
-  }
-  if (!(transport_retry_s > 0.0)) fail("transport_retry must be > 0");
   if (!(transport_timeout_s > transport_retry_s)) {
     fail("transport_timeout must exceed transport_retry");
   }
-  if (transport_linger_s < 0.0) fail("transport_linger must be >= 0");
-  // Correctness-harness knobs: category names must parse and the audit
-  // stride must be at least one event.
+  // Correctness harness: category names must parse.
   if (!check.empty()) {
     try {
       (void)check::parse_categories(check);
@@ -233,7 +177,6 @@ void PrecinctConfig::validate() const {
       fail(e.what());
     }
   }
-  if (check_stride == 0) fail("check stride must be >= 1");
   // Scheme wiring: names must resolve in the registry, and the
   // combination must make sense.  The unstructured baselines search by
   // flooding, without the region infrastructure the pull-based schemes

@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 namespace precinct::support {
 
@@ -22,6 +23,11 @@ class KvFile {
 
   /// Read and parse a file; throws std::runtime_error if unreadable.
   static KvFile load(const std::string& path);
+
+  /// Set (or replace) one key, as a later line of a file would.
+  void set(const std::string& key, std::string value) {
+    values_[key] = std::move(value);
+  }
 
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;

@@ -3,13 +3,17 @@
 // fixed point over every fingerprint scenario plus a fuzzer-drawn one.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/scenario_fuzz.hpp"
 #include "core/config_io.hpp"
+#include "core/knobs.hpp"
 #include "support/kv_file.hpp"
 #include "test_util.hpp"
 
@@ -31,7 +35,7 @@ struct RejectionCase {
 const std::vector<RejectionCase>& rejection_cases() {
   static const std::vector<RejectionCase> cases = {
       {"zero nodes", [](PrecinctConfig& c) { c.n_nodes = 0; },
-       "n_nodes must be > 0"},
+       "nodes must be >= 1"},
       {"unknown retrieval scheme",
        [](PrecinctConfig& c) { c.retrieval_scheme = "warp-drive"; },
        "unknown retrieval scheme 'warp-drive'"},
@@ -43,7 +47,7 @@ const std::vector<RejectionCase>& rejection_cases() {
        "unknown channel model 'quantum'"},
       {"negative request retries",
        [](PrecinctConfig& c) { c.request_retries = -1; },
-       "request retries must be >= 0"},
+       "retries must be >= 0"},
       {"negative push retries", [](PrecinctConfig& c) { c.push_retries = -2; },
        "push retries must be >= 0"},
       {"loss probability out of range",
@@ -51,14 +55,14 @@ const std::vector<RejectionCase>& rejection_cases() {
          c.wireless.channel.model = "bernoulli";
          c.wireless.channel.loss_p = 1.5;
        },
-       "loss probability must be in [0, 1]"},
+       "loss must be in [0, 1]"},
       {"unknown check category", [](PrecinctConfig& c) { c.check = "cachez"; },
        "unknown category 'cachez'"},
       {"unknown token in check list",
        [](PrecinctConfig& c) { c.check = "net,turbo"; },
        "unknown category 'turbo'"},
       {"zero check stride", [](PrecinctConfig& c) { c.check_stride = 0; },
-       "check stride must be >= 1"},
+       "check_stride must be >= 1"},
       {"baseline retrieval with polling consistency",
        [](PrecinctConfig& c) {
          c.retrieval = core::RetrievalKind::kFlooding;
@@ -77,10 +81,10 @@ const std::vector<RejectionCase>& rejection_cases() {
        "unknown mobility model 'teleport'"},
       {"zero street spacing",
        [](PrecinctConfig& c) { c.street_spacing_m = 0.0; },
-       "street spacing must be > 0"},
+       "street_spacing must be > 0"},
       {"turn probability out of range",
        [](PrecinctConfig& c) { c.turn_probability = 1.5; },
-       "turn probability must be in [0, 1]"},
+       "turn_prob must be in [0, 1]"},
       {"street grid does not fit the area",
        [](PrecinctConfig& c) {
          c.mobility_model = "manhattan";
@@ -89,10 +93,10 @@ const std::vector<RejectionCase>& rejection_cases() {
        "street spacing too wide"},
       {"zero commuter period",
        [](PrecinctConfig& c) { c.commuter_period_s = 0.0; },
-       "commuter period must be > 0"},
+       "commuter_period must be > 0"},
       {"zero commuter hubs",
        [](PrecinctConfig& c) { c.commuter_hubs = 0; },
-       "commuter fleet needs at least one hub"},
+       "commuter_hubs must be >= 1"},
       {"class name with illegal characters",
        [](PrecinctConfig& c) {
          core::NodeClassConfig cls;
@@ -139,10 +143,10 @@ const std::vector<RejectionCase>& rejection_cases() {
        "speed must be >= 0"},
       {"negative request rate multiplier",
        [](PrecinctConfig& c) { c.request_rate_multiplier = -2.0; },
-       "request rate multiplier must be > 0"},
+       "rate_multiplier must be > 0"},
       {"zero request rate multiplier",
        [](PrecinctConfig& c) { c.request_rate_multiplier = 0.0; },
-       "request rate multiplier must be > 0"},
+       "rate_multiplier must be > 0"},
       {"zipf drift without a step",
        [](PrecinctConfig& c) {
          c.zipf_drift_per_s = 0.01;
@@ -460,15 +464,26 @@ TEST(ConfigIo, ClassCountsAloneDefineTheFleetSize) {
 }
 
 TEST(ConfigIo, MalformedClassKeysThrow) {
-  for (const char* text : {
-           "class.x = 3\n",          // missing attribute
-           "class.x.bogus = 1\n",    // unknown attribute
-           "class.x.count = -4\n",   // counts are unsigned
-           "class.x.count = many\n"  // non-numeric
+  // Malformed class and integer keys: each is rejected with an
+  // invalid_argument that names the offending key.
+  for (const std::string text : {
+           "class.x = 3",          // missing attribute
+           "class.x.bogus = 1",    // unknown attribute
+           "class.x.count = -4",   // counts are unsigned
+           "class.x.count = many", // non-numeric
+           "regions = -3",         // unsigned grid side
+           "nodes = 20.9",         // no fractional node counts
+           "nodes = -1",           // unsigned
        }) {
-    EXPECT_THROW((void)core::config_from_kv(support::KvFile::parse(text)),
-                 std::invalid_argument)
-        << text;
+    const std::string key = text.substr(0, text.find(' '));
+    try {
+      (void)core::config_from_kv(support::KvFile::parse(text));
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << text << ": " << e.what();
+    }
   }
 }
 
@@ -497,6 +512,67 @@ TEST(ConfigIo, UnwritableConfigsThrow) {
     p.b = {{400.0, 0.0}, {800.0, 800.0}};
     c.wireless.channel.partitions.push_back(p);
     EXPECT_THROW((void)core::config_to_string(c), std::invalid_argument);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The knob table's derived surfaces: --help and the annotated example
+// ---------------------------------------------------------------------------
+
+TEST(Knobs, HelpNamesEveryFlagWithItsDefault) {
+  const PrecinctConfig defaults;
+  std::istringstream help(core::knob_help());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(help, line);) lines.push_back(line);
+  for (const core::Knob& knob : core::knobs()) {
+    const std::string flag = "  " + knob.flag() + " ";
+    std::string value = knob.format(defaults);
+    if (value.empty()) value = "\"\"";
+    const std::string def = "(default " + value + ")";
+    bool found = false;
+    for (const std::string& line : lines) {
+      if (line.rfind(flag, 0) != 0) continue;
+      found = true;
+      EXPECT_NE(line.find(def), std::string::npos) << line;
+    }
+    EXPECT_TRUE(found) << knob.flag() << " missing from --help";
+  }
+}
+
+TEST(Knobs, ExampleFileCoversEveryKnobAndLoads) {
+  const std::string examples = std::string(PRECINCT_SOURCE_DIR) + "/examples";
+  const std::string path = examples + "/scenario.conf.example";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << path;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  for (const core::Knob& knob : core::knobs()) {
+    const std::string key(knob.key);
+    int seen = 0;
+    for (std::string line : lines) {
+      // `key = value` or `# key = value`, with an optional trailing comment.
+      if (line.rfind("# ", 0) == 0) line.erase(0, 2);
+      if (line.rfind(key + " =", 0) != 0) continue;
+      ++seen;
+      EXPECT_NO_THROW((void)core::config_from_kv(support::KvFile::parse(line)))
+          << "example line does not parse: " << line;
+    }
+    EXPECT_GT(seen, 0) << key << " missing from " << path;
+  }
+  // The file as shipped, and every other checked-in scenario, loads and
+  // validates.
+  std::vector<std::string> files = {path};
+  for (const std::string& dir : {examples, examples + "/packs"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".conf") {
+        files.push_back(entry.path().string());
+      }
+    }
+  }
+  for (const std::string& file : files) {
+    PrecinctConfig c;
+    ASSERT_NO_THROW(c = core::config_from_file(file)) << file;
+    EXPECT_NO_THROW(c.validate()) << file;
   }
 }
 
