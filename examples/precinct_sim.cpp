@@ -19,6 +19,7 @@
 #include "core/knobs.hpp"
 #include "core/pack.hpp"
 #include "core/scenario.hpp"
+#include "core/sharded_scenario.hpp"
 #include "core/world_scenario.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
@@ -74,8 +75,8 @@ tools
   --packs              list installed packs and exit
   --seeds N            replications, merged (default 1)
   --fingerprint        print the run's metrics fingerprint (world
-                       fingerprint in world-sharded mode) instead of the
-                       table
+                       fingerprint in world-sharded mode, sharded
+                       fingerprint for a tiles grid) instead of the table
   --golden-check       run the pack at full and reduced scale and diff
                        both fingerprints against NAME.golden (exit 1 on
                        drift)
@@ -121,11 +122,6 @@ class ArgParser {
       }
     }
     return std::nullopt;
-  }
-
-  [[nodiscard]] double number(const std::string& name, double fallback) {
-    const std::optional<std::string> v = take(name);
-    return v.has_value() ? std::stod(*v) : fallback;
   }
 
   [[nodiscard]] const std::vector<std::string>& leftover() const {
@@ -217,14 +213,15 @@ int main(int argc, char** argv) {
       c = core::config_from_file(*path);
     }
     c = core::config_from_kv(knob_flags(args), c);
-    const auto seeds = static_cast<std::size_t>(args.number("--seeds", 1));
+    const auto seeds = core::parse_integer<std::size_t>(
+        args.take("--seeds").value_or("1"), "--seeds");
     const bool csv = args.flag("--csv");
     const bool json = args.flag("--json");
     const bool print_fingerprint = args.flag("--fingerprint");
     const bool golden_check = args.flag("--golden-check");
     const bool write_golden = args.flag("--write-golden");
-    const auto world_k =
-        static_cast<std::uint32_t>(args.number("--world", 0));
+    const auto world_k = core::parse_integer<std::uint32_t>(
+        args.take("--world").value_or("0"), "--world");
     if (world_k > 0) c.shards = world_k;
     // --trace takes either a count ("--trace 50": last 50 events, all
     // categories) or a category list ("--trace channel,protocol": every
@@ -293,8 +290,10 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const bool world_sharded =
-        world_k > 0 || (c.shards > 1 && c.tiles_x == 1 && c.tiles_y == 1);
+    // World sharding cuts ONE world into region-column domains; a tiles
+    // grid runs independent tile worlds coupled by gateway traffic.
+    const bool tiled = c.tiles_x > 1 || c.tiles_y > 1;
+    const bool world_sharded = world_k > 0 || (c.shards > 1 && !tiled);
     if (print_fingerprint) {
       // Fingerprints are single-run by definition (the determinism gates
       // diff them byte-for-byte).
@@ -303,25 +302,29 @@ int main(int argc, char** argv) {
       }
       if (world_sharded) {
         std::cout << core::world_fingerprint(core::run_world_scenario(c));
+      } else if (tiled) {
+        std::cout << core::sharded_fingerprint(core::run_sharded_scenario(c));
       } else {
         std::cout << core::fingerprint(core::run_scenario(c));
       }
       return 0;
     }
     core::Metrics m;
-    if (world_sharded) {
-      // World sharding cuts ONE world into region-column domains; tracing
-      // is a plain-scenario feature (a single event loop to observe).
+    if (world_sharded || tiled) {
+      // Tracing is a plain-scenario feature (a single event loop to
+      // observe).
       if (trace_n > 0 || !trace_cats.empty()) {
         throw std::invalid_argument(
-            "--trace needs a single-threaded run; drop --shards");
+            "--trace needs a single-world run; drop --shards and tiles");
       }
       std::vector<core::Metrics> runs;
       const std::uint64_t base_seed = c.seed;
       for (std::size_t i = 0; i < std::max<std::size_t>(1, seeds); ++i) {
         PrecinctConfig replication = c;
         replication.seed = base_seed + i;
-        runs.push_back(core::run_world_scenario(replication).aggregate);
+        runs.push_back(
+            world_sharded ? core::run_world_scenario(replication).aggregate
+                          : core::run_sharded_scenario(replication).aggregate);
       }
       m = core::merge_metrics(runs);
     } else if (trace_n > 0 || !trace_cats.empty()) {

@@ -85,8 +85,8 @@ struct Metrics {
   /// Transport-layer traffic: the encoded size of every frame under the
   /// wire codec (transport/wire_format), summed over transmissions /
   /// deliveries in the window.  Deliberately NOT in fingerprint(): the
-  /// nine pinned fingerprint configs predate the codec and must stay
-  /// byte-identical (the fleet fingerprint covers these separately).
+  /// pinned pack goldens predate the codec and must stay byte-identical
+  /// (the fleet fingerprint covers these separately).
   std::uint64_t wire_bytes_sent = 0;
   std::uint64_t wire_bytes_received = 0;
   std::uint64_t frames_lost = 0;

@@ -1,9 +1,10 @@
-// Scenario packs (ROADMAP item 3): named workload bundles under
+// Scenario packs (DESIGN.md §15): named workload bundles under
 // examples/packs/, each a `<name>.conf` scenario plus a `<name>.golden`
-// expected-metrics file.  Packs pin the workloads the paper never
-// reached — structured mobility, heterogeneous fleets, flash crowds —
-// so the fingerprint suite, the fuzzer and CI can all regression-gate
-// them like the nine classic configs.
+// expected-metrics file.  They are the repo's one golden mechanism: nine
+// packs pin the paper's own fixed-seed scenarios (retrieval schemes,
+// consistency modes, churn, lossy channels) and four pin the workloads
+// the paper never reached — structured mobility, heterogeneous fleets,
+// flash crowds.
 //
 // Golden format: a comment header, then two fingerprint sections —
 //
@@ -11,9 +12,9 @@
 //   [reduced]  the same under reduced_for_test() windows (what the unit
 //              test suite runs, so `ctest` stays fast)
 //
-// Both sections must be byte-identical across world shards K in {1,2,4}
-// like every other scenario; CI checks that via world_fingerprint on top
-// of these plain-run sections.
+// The goldens pin plain runs; scenario_pack_test checks on top that the
+// tiled and world-sharded executors reproduce every pack for K in
+// {1,2,4}, and CI re-checks the world case at pack scale.
 #pragma once
 
 #include <string>

@@ -14,6 +14,7 @@
 #include "check/scenario_fuzz.hpp"
 #include "core/config_io.hpp"
 #include "core/knobs.hpp"
+#include "core/pack.hpp"
 #include "support/kv_file.hpp"
 #include "test_util.hpp"
 
@@ -200,83 +201,9 @@ void expect_roundtrip(const PrecinctConfig& c, const std::string& label) {
   EXPECT_NO_THROW(reread.validate()) << label;
 }
 
-/// The nine scenarios metrics_fingerprint.cpp runs, rebuilt here; keep in
-/// sync with examples/metrics_fingerprint.cpp.
-std::vector<std::pair<std::string, PrecinctConfig>> fingerprint_configs() {
-  const auto base = [](std::uint64_t seed) {
-    PrecinctConfig c;
-    c.n_nodes = 60;
-    c.warmup_s = 60;
-    c.measure_s = 240;
-    c.seed = seed;
-    return c;
-  };
-  std::vector<std::pair<std::string, PrecinctConfig>> out;
-  out.emplace_back("precinct_mobile_s7", base(7));
-  {
-    auto c = base(11);
-    c.retrieval = core::RetrievalKind::kFlooding;
-    c.measure_s = 150;
-    out.emplace_back("flooding_s11", c);
-  }
-  {
-    auto c = base(13);
-    c.retrieval = core::RetrievalKind::kExpandingRing;
-    c.measure_s = 150;
-    out.emplace_back("ring_s13", c);
-  }
-  {
-    auto c = base(17);
-    c.updates_enabled = true;
-    c.consistency = consistency::Mode::kPushAdaptivePull;
-    c.mean_update_interval_s = 45.0;
-    out.emplace_back("adaptive_pull_s17", c);
-  }
-  {
-    auto c = base(19);
-    c.updates_enabled = true;
-    c.consistency = consistency::Mode::kPlainPush;
-    c.mean_update_interval_s = 45.0;
-    c.measure_s = 150;
-    out.emplace_back("plain_push_s19", c);
-  }
-  {
-    auto c = base(23);
-    c.dynamic_regions = true;
-    c.crash_rate_per_s = 0.02;
-    c.join_rate_per_s = 0.02;
-    c.graceful_fraction = 0.5;
-    out.emplace_back("churn_dynamic_s23", c);
-  }
-  {
-    auto c = base(29);
-    c.n_nodes = 160;
-    c.area = {{0, 0}, {1800, 1800}};
-    c.regions_x = c.regions_y = 4;
-    c.measure_s = 120;
-    out.emplace_back("large_grid_s29", c);
-  }
-  {
-    auto c = base(31);
-    c.wireless.channel.model = "bernoulli";
-    c.wireless.channel.loss_p = 0.2;
-    c.request_retries = 3;
-    c.measure_s = 150;
-    out.emplace_back("bernoulli_loss_s31", c);
-  }
-  {
-    auto c = base(37);
-    c.wireless.channel.model = "gilbert-elliott";
-    c.request_retries = 2;
-    c.measure_s = 150;
-    out.emplace_back("gilbert_elliott_s37", c);
-  }
-  return out;
-}
-
-TEST(ConfigIo, FingerprintConfigsRoundTrip) {
-  for (const auto& [name, c] : fingerprint_configs()) {
-    expect_roundtrip(c, name);
+TEST(ConfigIo, EveryPackConfigRoundTrips) {
+  for (const std::string& name : core::list_packs()) {
+    expect_roundtrip(core::load_pack(name).config, name);
   }
 }
 

@@ -3,6 +3,8 @@
 # if the CLI never rounds a seed through floating point.  Each seed runs
 # twice, once from a config file and once from --seed over the same
 # scenario; both paths must agree, and the two seeds must differ.
+# Replication and worker counts are exact too: a fractional --seeds or
+# --world exits 2 with an error naming the flag instead of truncating.
 #
 #   cmake -DSIM=<precinct_sim> -DWORK_DIR=<scratch dir> -P precinct_sim_seeds.cmake
 if(NOT SIM OR NOT WORK_DIR)
@@ -33,4 +35,14 @@ endforeach()
 if(fp_9007199254740992 STREQUAL fp_9007199254740993)
   message(FATAL_ERROR "seeds 2^53 and 2^53+1 ran the same scenario")
 endif()
+foreach(bad "--seeds;2.9" "--world;0.5")
+  list(GET bad 0 flag)
+  execute_process(COMMAND "${SIM}" --config "${WORK_DIR}/tiny.conf" ${bad}
+                  OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
+  string(FIND "${err}" "${flag}" named)
+  if(NOT rc EQUAL 2 OR named EQUAL -1)
+    message(FATAL_ERROR "precinct_sim ${bad}: want exit 2 naming ${flag}, "
+                        "got ${rc}: ${err}")
+  endif()
+endforeach()
 message(STATUS "exact seeds ok")
